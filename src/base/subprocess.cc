@@ -422,19 +422,26 @@ void WorkerProcess::Kill(int sig) {
 HeartbeatWriter::HeartbeatWriter(int fd, double interval_ms) {
   const auto interval = std::chrono::duration<double, std::milli>(
       interval_ms > 0 ? interval_ms : 25.0);
-  thread_ = std::thread([this, fd, interval] {
-    const char beat = '.';
-    while (!stop_.load(std::memory_order_acquire)) {
-      // A full pipe or dead supervisor is not the worker's problem;
-      // compute on regardless.
+  // A full pipe or dead supervisor is not the worker's problem; compute
+  // on regardless.
+  const char beat = '.';
+  (void)!::write(fd, &beat, 1);
+  thread_ = std::thread([this, fd, interval, beat] {
+    std::unique_lock<std::mutex> lock(mu_);
+    // Waits out each interval, but wakes the moment the destructor asks
+    // it to stop: a finished worker must not idle in here.
+    while (!wake_.wait_for(lock, interval, [this] { return stop_; })) {
       (void)!::write(fd, &beat, 1);
-      std::this_thread::sleep_for(interval);
     }
   });
 }
 
 HeartbeatWriter::~HeartbeatWriter() {
-  stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  wake_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 

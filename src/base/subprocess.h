@@ -3,10 +3,11 @@
 
 #include <sys/types.h>
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -138,10 +139,13 @@ class WorkerProcess {
   std::string result_;
 };
 
-/// Child-side liveness: writes one byte to `fd` every `interval_ms` from a
-/// background thread until destroyed. A worker that stalls wholesale
-/// (SIGSTOP, kernel livelock) stops beating — its threads stop with it —
-/// and the supervisor's heartbeat timeout reaps it.
+/// Child-side liveness: writes one byte to `fd` at construction and then
+/// every `interval_ms` from a background thread until destroyed. The
+/// destructor wakes the thread and returns at once, so a worker exits as
+/// soon as its result is written; the interval bounds stall detection
+/// only. A worker that stalls wholesale (SIGSTOP, kernel livelock) stops
+/// beating — its threads stop with it — and the supervisor's heartbeat
+/// timeout reaps it.
 class HeartbeatWriter {
  public:
   HeartbeatWriter(int fd, double interval_ms);
@@ -151,7 +155,9 @@ class HeartbeatWriter {
   HeartbeatWriter& operator=(const HeartbeatWriter&) = delete;
 
  private:
-  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  std::condition_variable wake_;
+  bool stop_ = false;  // guarded by mu_
   std::thread thread_;
 };
 

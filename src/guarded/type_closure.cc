@@ -110,6 +110,7 @@ std::string TypeClosureEngine::InternBag(const std::vector<Atom>& atoms,
     entry.closure.Insert(canonical);
   }
   entries_.emplace(key, std::move(entry));
+  at_fixpoint_ = false;
   return key;
 }
 
@@ -216,6 +217,7 @@ void TypeClosureEngine::FixpointAll() {
     // Newly created child entries have not been processed yet.
     if (entries_.size() != entries_before) changed = true;
   }
+  at_fixpoint_ = true;
 }
 
 std::vector<Atom> TypeClosureEngine::Closure(
@@ -228,7 +230,7 @@ std::vector<Atom> TypeClosureEngine::Closure(
 #endif
   std::vector<Term> order;
   const std::string key = InternBag(atoms, elements, &order);
-  FixpointAll();
+  if (!at_fixpoint_) FixpointAll();
   const Entry& entry = entries_[key];
   Substitution back;
   for (size_t i = 0; i < order.size(); ++i) {

@@ -50,7 +50,6 @@ class TypeClosureEngine {
     std::vector<Atom> base_atoms;    // canonical atoms (over placeholders)
     Instance closure;                // current closure (over placeholders)
     int num_elements = 0;
-    bool dirty = true;
   };
 
   /// Canonicalizes a bag: renames `elements` to placeholders minimizing
@@ -61,19 +60,25 @@ class TypeClosureEngine {
                            std::vector<Term>* order) const;
 
   /// Ensures an entry exists for the canonicalized bag; returns its key.
+  /// Creating an entry clears `at_fixpoint_`.
   std::string InternBag(const std::vector<Atom>& atoms,
                         const std::vector<Term>& elements,
                         std::vector<Term>* order);
 
   /// Applies all TGDs to one entry; returns true if its closure grew.
-  /// May create new (dirty) entries for child bags.
+  /// May create new entries for child bags.
   bool ProcessEntry(const std::string& key);
 
-  /// Runs rounds over all dirty entries until global fixpoint.
+  /// Runs rounds over all entries until global fixpoint, then sets
+  /// `at_fixpoint_`.
   void FixpointAll();
 
   const TgdSet& sigma_;
   std::unordered_map<std::string, Entry> entries_;
+  /// True while no entry has been created since the last FixpointAll:
+  /// entries change only in InternBag and ProcessEntry, so every closure
+  /// in the table is then final and a memo hit needs no further pass.
+  bool at_fixpoint_ = true;
 };
 
 }  // namespace gqe

@@ -178,6 +178,7 @@ class ServeEngine::Impl {
       cached.verify_checked = true;
       cached.verify_outcome = outcome;
       cached.verify_reason = reason;
+      cached.worker_result = EncodeForReplay(std::move(result));
     }
     row->id = request.id;
     row->kind = request.kind;
@@ -639,9 +640,11 @@ class ServeEngine::Impl {
     cached.state = job.row.state;
     cached.request_line = job.canonical_line;
     cached.line = line;
-    cached.worker_result = encoded;
     // This run already verified (or rejected) the live result; don't
     // re-check the same witness on the first duplicate hit.
+    cached.worker_result =
+        has_answer && options_.verify ? EncodeForReplay(job.row.result)
+                                      : encoded;
     cached.verify_checked = options_.verify;
     cached.verify_outcome = job.row.verify_outcome;
     cached.verify_reason = job.row.verify_reason;
@@ -814,8 +817,9 @@ class ServeEngine::Impl {
     }
     // Re-check each answer's homomorphism atom-by-atom and rebuild the
     // worker's digest from the certificate alone: matching CRCs bind the
-    // emitted result line to independently checked answers.
-    std::string digest;
+    // emitted result line to independently checked answers. The worker
+    // digests its queries in name order, as this map iterates them.
+    std::map<std::string, std::vector<std::vector<Term>>> answers;
     uint64_t count = 0;
     for (const HomWitness& hom : witness.answers) {
       auto query_it = program.queries.find(hom.query);
@@ -830,14 +834,12 @@ class ServeEngine::Impl {
                   check.reason;
         return VerifyOutcome::kRejected;
       }
-      digest.append(hom.query);
-      digest.push_back('(');
-      for (size_t i = 0; i < hom.answer.size(); ++i) {
-        if (i > 0) digest.append(", ");
-        digest.append(hom.answer[i].ToString());
-      }
-      digest.append(")\n");
+      answers[hom.query].push_back(hom.answer);
       ++count;
+    }
+    std::string digest;
+    for (const auto& [query, tuples] : answers) {
+      AppendAnswerDigest(query, tuples, &digest);
     }
     if (count != result.answer_count) {
       *reason = "witness count disagrees with reported answer count";
@@ -850,13 +852,22 @@ class ServeEngine::Impl {
     return VerifyOutcome::kVerified;
   }
 
+  /// A checked result as a replay needs it: everything but the
+  /// certificate, which the journal keeps for a restarted daemon to
+  /// re-check. The cache holds one entry per request ever completed, and
+  /// a certificate is most of an entry's bytes.
+  static std::string EncodeForReplay(WorkerResult result) {
+    result.witness.clear();
+    return EncodeWorkerResult(result);
+  }
+
   /// One journal-replayable terminal result: everything a duplicate or
   /// resent request id is served from, without a worker.
   struct Cached {
     TerminalState state = TerminalState::kFailed;
     std::string request_line;   // canonical admission line (idempotency key)
     std::string line;           // verbatim recorded "result:" line
-    std::string worker_result;  // encoded WorkerResult (carries the witness)
+    std::string worker_result;  // encoded WorkerResult; witness until checked
     bool verify_checked = false;
     VerifyOutcome verify_outcome = VerifyOutcome::kNotChecked;
     std::string verify_reason;

@@ -2,6 +2,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <memory>
 #include <new>
 #include <optional>
@@ -79,20 +80,10 @@ void ApplyPostEvalFault(const FaultSpec& fault, Status status) {
   if (fault.type == FaultSpec::Type::kStall) ::raise(SIGSTOP);
 }
 
-/// Canonical textual digest of query answers: "name(t1, t2)\n" per tuple
-/// in the engines' sorted order. Equal digests <=> identical answer sets.
 void FoldAnswers(const std::string& name,
                  const std::vector<std::vector<Term>>& answers,
                  std::string* digest, uint64_t* count) {
-  for (const auto& tuple : answers) {
-    digest->append(name);
-    digest->push_back('(');
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      if (i > 0) digest->append(", ");
-      digest->append(tuple[i].ToString());
-    }
-    digest->append(")\n");
-  }
+  AppendAnswerDigest(name, answers, digest);
   *count += answers.size();
 }
 
@@ -291,6 +282,28 @@ const char* WorkerExitCodeName(int code) {
       return "supervisor-gone";
   }
   return "exit";
+}
+
+void AppendAnswerDigest(const std::string& query,
+                        const std::vector<std::vector<Term>>& answers,
+                        std::string* digest) {
+  std::vector<std::vector<std::string>> texts;
+  texts.reserve(answers.size());
+  for (const auto& tuple : answers) {
+    std::vector<std::string>& text = texts.emplace_back();
+    text.reserve(tuple.size());
+    for (const Term& term : tuple) text.push_back(term.ToString());
+  }
+  std::sort(texts.begin(), texts.end());
+  for (const auto& tuple : texts) {
+    digest->append(query);
+    digest->push_back('(');
+    for (size_t i = 0; i < tuple.size(); ++i) {
+      if (i > 0) digest->append(", ");
+      digest->append(tuple[i]);
+    }
+    digest->append(")\n");
+  }
 }
 
 std::string EncodeWorkerResult(const WorkerResult& result) {

@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/serialize.h"
+#include "base/term.h"
 #include "serve/request.h"
 
 namespace gqe {
@@ -69,6 +71,16 @@ struct WorkerResult {
   /// the digest above.
   std::string witness;
 };
+
+/// Appends one query's answers to a result digest: "name(t1, t2)\n" per
+/// tuple, tuples ordered by their terms' texts (element-wise byte
+/// comparison, as std::set<std::vector<std::string>> orders them). The
+/// order does not depend on interning order, so the same answer set
+/// digests the same in every process. Shared by the worker and the
+/// supervisor's certificate re-check.
+void AppendAnswerDigest(const std::string& query,
+                        const std::vector<std::vector<Term>>& answers,
+                        std::string* digest);
 
 std::string EncodeWorkerResult(const WorkerResult& result);
 SnapshotStatus DecodeWorkerResult(std::string_view bytes,

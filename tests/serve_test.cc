@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "base/serialize.h"
+#include "base/term.h"
 #include "serve/request.h"
 #include "serve/service.h"
 #include "serve/worker.h"
@@ -220,6 +222,65 @@ TEST(ServeTest, FaultFreeManifestCompletesEveryKind) {
   EXPECT_EQ(RowById(report, "cq-1").result.answer_count, 0u);
   // omq certain answers consult the ontology.
   EXPECT_GE(RowById(report, "omq-1").result.answer_count, 1u);
+}
+
+/// A worker exits as soon as its result is written: the heartbeat
+/// interval bounds stall detection only, and adds nothing to a request.
+TEST(ServeTest, WorkerExitDoesNotWaitOutTheHeartbeatInterval) {
+  const std::string univ = WriteProgram("slowbeat", kUniversityProgram);
+  Manifest manifest;
+  EvalRequest cq;
+  cq.id = "cq-slowbeat";
+  cq.kind = RequestKind::kCq;
+  cq.program_path = univ;
+  cq.query = "svuq";
+  manifest.requests.push_back(cq);
+
+  ServeOptions options = FastOptions();
+  options.heartbeat_interval_ms = 2000.0;
+  options.heartbeat_timeout_ms = 10000.0;
+  const ServeReport report = ServeManifest(manifest, options);
+  ASSERT_EQ(report.completed, 1u);
+  const RequestRow& row = RowById(report, "cq-slowbeat");
+  EXPECT_EQ(row.attempts.size(), 1u);
+  EXPECT_LT(row.total_ms, 1000.0);
+}
+
+/// A result's crc digests the answers sorted by their text, so it does
+/// not depend on the order in which the process interned the constants.
+TEST(ServeTest, AnswerCrcIsIndependentOfInterningOrder) {
+  const std::string program = WriteProgram("interning", R"(
+svre(svrb, svra). svre(svra, svrc). svre(svra, svrb).
+svrq(X, Y) :- svre(X, Y).
+)");
+  Manifest manifest;
+  EvalRequest cq;
+  cq.id = "cq-interning";
+  cq.kind = RequestKind::kCq;
+  cq.program_path = program;
+  cq.query = "svrq";
+  manifest.requests.push_back(cq);
+  const uint32_t sorted =
+      Crc32("svrq(svra, svrb)\nsvrq(svra, svrc)\nsvrq(svrb, svra)\n");
+
+  // The forked worker interns the constants in file order.
+  const ServeReport file_order = ServeManifest(manifest, FastOptions());
+  ASSERT_EQ(file_order.completed, 1u);
+  EXPECT_EQ(file_order.rows[0].result.answer_count, 3u);
+  EXPECT_EQ(file_order.rows[0].result.answer_crc, sorted);
+
+  // Interned here first, in reverse order, the constants' ids reach the
+  // next worker reversed; the supervisor's certificate re-check sees the
+  // same reversed ids.
+  Term::Constant("svrc");
+  Term::Constant("svrb");
+  Term::Constant("svra");
+  ServeOptions verify = FastOptions();
+  verify.verify = true;
+  const ServeReport reversed = ServeManifest(manifest, verify);
+  ASSERT_EQ(reversed.completed, 1u);
+  EXPECT_EQ(reversed.verified, 1u);
+  EXPECT_EQ(reversed.rows[0].result.answer_crc, sorted);
 }
 
 /// The chaos matrix: every containment path — kill -9, rlimit-CPU,

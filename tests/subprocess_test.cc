@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -158,6 +159,25 @@ TEST(SubprocessTest, HeartbeatsFlowWhileAlive) {
   beats += worker.DrainHeartbeats();
   EXPECT_GE(beats, 3u);
   EXPECT_TRUE(worker.exit_status().reaped);
+}
+
+TEST(SubprocessTest, HeartbeatWriterStopsWithoutWaitingOutItsInterval) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::optional<HeartbeatWriter> heartbeat;
+  heartbeat.emplace(fds[1], 2000.0);
+  // The first beat is written at construction, not one interval later.
+  char beat = 0;
+  ASSERT_EQ(::read(fds[0], &beat, 1), 1);
+  EXPECT_EQ(beat, '.');
+  const auto start = std::chrono::steady_clock::now();
+  heartbeat.reset();
+  const auto stop_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_LT(stop_ms, 500.0);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(SubprocessTest, SigkillReachesAStoppedWorker) {
